@@ -13,6 +13,7 @@ Status BlockManager::AddBlock(BlockRecord record) {
     if (stripe.blocks.count(id) > 0) {
       return Status::AlreadyExists("block " + std::to_string(id));
     }
+    for (MediumId medium : record.locations) IndexAdd(id, medium);
     stripe.blocks.emplace(id, std::move(record));
   }
   // Keep the allocator past replayed/loaded ids.
@@ -27,8 +28,16 @@ Status BlockManager::AddBlock(BlockRecord record) {
 Status BlockManager::RemoveBlock(BlockId id) {
   Stripe& stripe = StripeFor(id);
   std::unique_lock<std::shared_mutex> lock(stripe.mu);
-  if (stripe.blocks.erase(id) == 0) {
+  auto it = stripe.blocks.find(id);
+  if (it == stripe.blocks.end()) {
     return Status::NotFound("block " + std::to_string(id));
+  }
+  BlockRecord record = std::move(it->second);
+  stripe.blocks.erase(it);
+  while (!record.locations.empty()) {
+    MediumId medium = record.locations.back();
+    record.locations.pop_back();
+    IndexRemove(record, medium);
   }
   return Status::OK();
 }
@@ -47,6 +56,7 @@ Status BlockManager::AddReplica(BlockId id, MediumId medium) {
                                  std::to_string(medium));
   }
   locs.push_back(medium);
+  IndexAdd(id, medium);
   return Status::OK();
 }
 
@@ -65,6 +75,7 @@ Status BlockManager::RemoveReplica(BlockId id, MediumId medium) {
                             std::to_string(medium));
   }
   locs.erase(pos);
+  IndexRemove(it->second, medium);
   return Status::OK();
 }
 
@@ -88,13 +99,6 @@ const BlockRecord* BlockManager::Find(BlockId id) const {
   return it == stripe.blocks.end() ? nullptr : &it->second;
 }
 
-BlockRecord* BlockManager::FindMutable(BlockId id) {
-  Stripe& stripe = StripeFor(id);
-  std::shared_lock<std::shared_mutex> lock(stripe.mu);
-  auto it = stripe.blocks.find(id);
-  return it == stripe.blocks.end() ? nullptr : &it->second;
-}
-
 bool BlockManager::Contains(BlockId id) const {
   const Stripe& stripe = StripeFor(id);
   std::shared_lock<std::shared_mutex> lock(stripe.mu);
@@ -110,19 +114,36 @@ bool BlockManager::Snapshot(BlockId id, BlockRecord* out) const {
   return true;
 }
 
-std::vector<BlockId> BlockManager::BlocksOnMedium(MediumId medium) const {
-  std::vector<BlockId> out;
-  for (const Stripe& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> lock(stripe.mu);
-    for (const auto& [id, record] : stripe.blocks) {
-      if (std::find(record.locations.begin(), record.locations.end(),
-                    medium) != record.locations.end()) {
-        out.push_back(id);
-      }
-    }
+void BlockManager::IndexAdd(BlockId id, MediumId medium) {
+  std::lock_guard<std::mutex> lock(index_mu_);
+  by_medium_[medium].insert(id);
+}
+
+void BlockManager::IndexRemove(const BlockRecord& record, MediumId medium) {
+  // A location list may name a medium twice (a caller-supplied replica
+  // list); the index entry goes with the last occurrence.
+  if (std::find(record.locations.begin(), record.locations.end(), medium) !=
+      record.locations.end()) {
+    return;
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  std::lock_guard<std::mutex> lock(index_mu_);
+  auto it = by_medium_.find(medium);
+  if (it == by_medium_.end()) return;
+  it->second.erase(record.id);
+  if (it->second.empty()) by_medium_.erase(it);
+}
+
+std::vector<BlockId> BlockManager::BlocksOnMedium(MediumId medium) const {
+  std::lock_guard<std::mutex> lock(index_mu_);
+  auto it = by_medium_.find(medium);
+  if (it == by_medium_.end()) return {};
+  return std::vector<BlockId>(it->second.begin(), it->second.end());
+}
+
+int64_t BlockManager::NumBlocksOnMedium(MediumId medium) const {
+  std::lock_guard<std::mutex> lock(index_mu_);
+  auto it = by_medium_.find(medium);
+  return it == by_medium_.end() ? 0 : static_cast<int64_t>(it->second.size());
 }
 
 void BlockManager::ForEach(
@@ -154,6 +175,10 @@ void BlockManager::Reset() {
   for (Stripe& stripe : stripes_) {
     std::unique_lock<std::shared_mutex> lock(stripe.mu);
     stripe.blocks.clear();
+  }
+  {
+    std::lock_guard<std::mutex> lock(index_mu_);
+    by_medium_.clear();
   }
   next_block_id_.store(1, std::memory_order_relaxed);
 }

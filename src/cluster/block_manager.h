@@ -5,8 +5,11 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <mutex>
+#include <set>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -40,8 +43,10 @@ struct BlockRecord {
 ///
 /// Thread-safe: records are hash-partitioned over internal reader-writer
 /// stripes keyed by block id, so lookups and mutations of unrelated
-/// blocks do not serialize. Stripe mutexes are leaves in the lock order.
-/// Exception: the raw pointers from Find()/FindMutable() are only stable
+/// blocks do not serialize. Stripe mutexes are leaves in the lock order;
+/// the per-medium replica index has one mutex of its own, taken inside a
+/// stripe lock by the mutators and alone by its readers.
+/// Exception: the raw pointers from Find() are only stable
 /// while no other thread removes blocks — callers that hold them across
 /// statements must serialize with mutators (the Master's service lock
 /// does); use Snapshot() from unserialized contexts.
@@ -70,9 +75,6 @@ class BlockManager {
 
   /// See the class comment for the pointer-stability contract.
   const BlockRecord* Find(BlockId id) const;
-  /// Mutable lookup for callers that edit a record in place (the
-  /// replication monitor pruning dead replicas).
-  BlockRecord* FindMutable(BlockId id);
   bool Contains(BlockId id) const;
 
   /// Copies the record under the stripe lock; safe from any thread.
@@ -80,12 +82,17 @@ class BlockManager {
   bool Snapshot(BlockId id, BlockRecord* out) const;
 
   /// All blocks that have a replica on `medium` (used when a medium or
-  /// worker dies). Ascending id order.
+  /// worker dies). Ascending id order. Answered from the per-medium
+  /// replica index: O(replicas on the medium), not O(blocks).
   std::vector<BlockId> BlocksOnMedium(MediumId medium) const;
+  /// Number of blocks with a replica on `medium` (O(1); the drain
+  /// emptiness check).
+  int64_t NumBlocksOnMedium(MediumId medium) const;
 
   /// Iterates over every block record in ascending id order (the
-  /// replication monitor's scan). The visitor receives a copy taken just
-  /// before the call, so it may itself call back into the manager.
+  /// monitor round after image load or safe-mode exit, and the reference
+  /// full scan). The visitor receives a copy taken just before the call,
+  /// so it may itself call back into the manager.
   void ForEach(const std::function<void(const BlockRecord&)>& fn) const;
 
   int64_t NumBlocks() const;
@@ -109,8 +116,16 @@ class BlockManager {
     return stripes_[static_cast<uint64_t>(id) % kStripeCount];
   }
 
+  /// Index maintenance for one replica entering or leaving `record`'s
+  /// location list. The caller holds the record's stripe lock.
+  void IndexAdd(BlockId id, MediumId medium);
+  void IndexRemove(const BlockRecord& record, MediumId medium);
+
   std::atomic<BlockId> next_block_id_{1};
   std::array<Stripe, kStripeCount> stripes_;
+  /// medium -> blocks with a replica on it, kept by the four mutators.
+  mutable std::mutex index_mu_;
+  std::unordered_map<MediumId, std::set<BlockId>> by_medium_;
 };
 
 }  // namespace octo

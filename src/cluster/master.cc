@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <set>
 
 #include "common/logging.h"
@@ -403,6 +404,7 @@ Status Master::ApplyBlockReportLocked(WorkerId worker,
             std::find(record->locations.begin(), record->locations.end(),
                       medium) != record->locations.end()) {
           OCTO_RETURN_IF_ERROR(blocks_.RemoveReplica(r.block, medium));
+          MarkBlockDirtyLocked(r.block);
           (void)state_.AdjustMediumRemaining(medium, record->length);
         }
         if (in_safe_mode()) {
@@ -424,6 +426,7 @@ Status Master::ApplyBlockReportLocked(WorkerId worker,
       if (std::find(record->locations.begin(), record->locations.end(),
                     medium) == record->locations.end()) {
         OCTO_RETURN_IF_ERROR(blocks_.AddReplica(r.block, medium));
+        MarkBlockDirtyLocked(r.block);
         if (inflight_copies_.erase({r.block, medium}) > 0) {
           repair_.NoteCompleted(r.block, medium);
         }
@@ -433,6 +436,7 @@ Status Master::ApplyBlockReportLocked(WorkerId worker,
     for (BlockId b : blocks_.BlocksOnMedium(medium)) {
       if (reported.count(b) == 0) {
         OCTO_RETURN_IF_ERROR(blocks_.RemoveReplica(b, medium));
+        MarkBlockDirtyLocked(b);
       }
     }
     // A full report is ground truth for this medium: any copy we thought
@@ -445,6 +449,7 @@ Status Master::ApplyBlockReportLocked(WorkerId worker,
         // no cooldown: ground truth says nothing is pending there.
         repair_.NoteAborted(it->first.first, it->first.second,
                             RepairAbort::kFailedReported, clock_->NowMicros());
+        MarkBlockDirtyLocked(it->first.first);
         it = inflight_copies_.erase(it);
       } else {
         ++it;
@@ -602,6 +607,8 @@ Result<int> Master::Delete(const std::string& path, bool recursive,
         QueueCommand(medium, std::move(cmd));
       }
       OCTO_CHECK_OK(blocks_.RemoveBlock(info.id));
+      // A block that no longer exists needs no classification.
+      dirty_blocks_.erase(info.id);
     }
   }
   OCTO_RETURN_IF_ERROR(CommitJournal());
@@ -706,6 +713,7 @@ Status Master::Create(const std::string& path, const ReplicationVector& rv,
           QueueCommand(medium, std::move(cmd));
         }
         OCTO_CHECK_OK(blocks_.RemoveBlock(info.id));
+        dirty_blocks_.erase(info.id);
       }
     }
     leases_.Remove(normalized);
@@ -868,6 +876,7 @@ Status Master::CommitBlock(const std::string& path,
     OCTO_RETURN_IF_ERROR(tree_->AddBlock(normalized, info));
     log_->LogAddBlock(normalized, info);
     OCTO_RETURN_IF_ERROR(blocks_.AddBlock(std::move(record)));
+    MarkBlockDirtyLocked(block);
     for (MediumId medium : succeeded) {
       (void)state_.AdjustMediumRemaining(medium, -length);
     }
@@ -981,6 +990,7 @@ Status Master::CommitBlockSynchronizationLocked(
     OCTO_RETURN_IF_ERROR(tree_->AddBlock(path, info));
     log_->LogAddBlock(path, info);
     OCTO_RETURN_IF_ERROR(blocks_.AddBlock(std::move(record)));
+    MarkBlockDirtyLocked(block);
     for (MediumId medium : good_media) {
       (void)state_.AdjustMediumRemaining(medium, -length);
     }
@@ -1099,6 +1109,7 @@ void Master::HandleFailedMedium(MediumId medium) {
   std::vector<BlockId> blocks = blocks_.BlocksOnMedium(medium);
   for (BlockId b : blocks) {
     OCTO_CHECK_OK(blocks_.RemoveReplica(b, medium));
+    MarkBlockDirtyLocked(b);
   }
   for (BlockId b : blocks) {
     const BlockRecord* record = blocks_.Find(b);
@@ -1190,6 +1201,7 @@ Status Master::ReportBadBlockLocked(BlockId block, MediumId medium) {
   // lost. Ignore — the scrubber/reader will re-report after exit.
   if (in_safe_mode()) return Status::OK();
   OCTO_RETURN_IF_ERROR(blocks_.RemoveReplica(block, medium));
+  MarkBlockDirtyLocked(block);
   const BlockRecord* record = blocks_.Find(block);
   if (record != nullptr) {
     (void)state_.AdjustMediumRemaining(medium, record->length);
@@ -1223,6 +1235,7 @@ Status Master::SetReplication(const std::string& path,
     std::lock_guard<std::mutex> service(service_mu_);
     for (const BlockInfo& info : blocks) {
       OCTO_RETURN_IF_ERROR(blocks_.SetExpected(info.id, rv));
+      MarkBlockDirtyLocked(info.id);
       const BlockRecord* record = blocks_.Find(info.id);
       if (record != nullptr) ReconcileBlock(*record);
     }
@@ -1264,16 +1277,91 @@ std::vector<MediumId> Master::LiveLocations(const BlockRecord& record) const {
   return live;
 }
 
-void Master::PruneDeadReplicas(BlockRecord* record) {
-  // Collect first: RemoveReplica mutates record->locations, so the dead
-  // list must be snapshotted before any removal.
+void Master::PruneDeadReplicas(const BlockRecord& record) {
+  // Collect first: RemoveReplica mutates record.locations, so the dead
+  // list must be snapshotted before any removal. No dirty mark: the
+  // monitor classifies the block right after pruning it.
   std::vector<MediumId> dead;
-  for (MediumId m : record->locations) {
+  for (MediumId m : record.locations) {
     if (!state_.MediumLive(m)) dead.push_back(m);
   }
   for (MediumId m : dead) {
-    OCTO_CHECK_OK(blocks_.RemoveReplica(record->id, m));
+    OCTO_CHECK_OK(blocks_.RemoveReplica(record.id, m));
   }
+}
+
+void Master::MarkBlockDirtyLocked(BlockId block) {
+  if (!all_blocks_dirty_) dirty_blocks_.insert(block);
+}
+
+void Master::MarkAllBlocksDirtyLocked() {
+  all_blocks_dirty_ = true;
+  dirty_blocks_.clear();
+}
+
+void Master::MarkChangedMediaLocked() {
+  // Merge-walk the registered media against last round's view (both in
+  // ascending id order): a medium whose status moved, appeared or
+  // vanished since then changes the classification of every block with
+  // a replica or an in-flight copy on it.
+  std::vector<MediumId> changed;
+  auto seen = medium_status_.begin();
+  for (const auto& [id, info] : state_.media()) {
+    for (; seen != medium_status_.end() && seen->first < id;
+         seen = medium_status_.erase(seen)) {
+      changed.push_back(seen->first);  // unregistered since last round
+    }
+    int8_t status = !state_.MediumLive(id)                ? 0
+                    : state_.WorkerDraining(info.worker) ? 2
+                                                         : 1;
+    if (seen != medium_status_.end() && seen->first == id) {
+      if (seen->second != status) {
+        seen->second = status;
+        changed.push_back(id);
+      }
+      ++seen;
+    } else {
+      medium_status_.emplace_hint(seen, id, status);
+      changed.push_back(id);
+    }
+  }
+  for (; seen != medium_status_.end(); seen = medium_status_.erase(seen)) {
+    changed.push_back(seen->first);
+  }
+  if (changed.empty()) return;
+  for (MediumId m : changed) {
+    for (BlockId b : blocks_.BlocksOnMedium(m)) MarkBlockDirtyLocked(b);
+  }
+  // `changed` is ascending: the walk above visits ids in order.
+  for (const auto& [key, when] : inflight_copies_) {
+    if (std::binary_search(changed.begin(), changed.end(), key.second)) {
+      MarkBlockDirtyLocked(key.first);
+    }
+  }
+}
+
+std::vector<BlockId> Master::TakeBlocksToClassifyLocked() {
+  std::vector<BlockId> ids;
+  if (all_blocks_dirty_) {
+    blocks_.ForEach(
+        [&ids](const BlockRecord& record) { ids.push_back(record.id); });
+    all_blocks_dirty_ = false;
+  } else {
+    std::vector<BlockId> dirty(dirty_blocks_.begin(), dirty_blocks_.end());
+    std::sort(dirty.begin(), dirty.end());
+    ids.reserve(dirty.size() + needed_blocks_.size());
+    std::set_union(dirty.begin(), dirty.end(), needed_blocks_.begin(),
+                   needed_blocks_.end(), std::back_inserter(ids));
+  }
+  dirty_blocks_.clear();
+  needed_blocks_.clear();
+  return ids;
+}
+
+std::ranges::subrange<Master::InflightMap::const_iterator>
+Master::InflightCopiesOf(BlockId block) const {
+  return {inflight_copies_.lower_bound({block, kInvalidMedium}),
+          inflight_copies_.lower_bound({block + 1, kInvalidMedium})};
 }
 
 void Master::ExpireInflight() {
@@ -1286,6 +1374,7 @@ void Master::ExpireInflight() {
 void Master::AbortInflightCopy(BlockId block, MediumId target,
                                RepairAbort reason) {
   repair_.NoteAborted(block, target, reason, clock_->NowMicros());
+  if (blocks_.Contains(block)) MarkBlockDirtyLocked(block);
   // A move whose copy never confirmed: release the target reservation
   // and forget the move (the source replica was never touched).
   auto move = pending_moves_.find({block, target});
@@ -1317,7 +1406,9 @@ void Master::AbortInflightCopy(BlockId block, MediumId target,
   if (commands.empty()) command_queues_.erase(queue);
 }
 
-void Master::ClassifyBlockLocked(const BlockRecord& record) {
+std::vector<RepairWork> Master::ClassifyBlock(const BlockRecord& record,
+                                              bool* clear_backoff) const {
+  std::vector<RepairWork> work;
   std::vector<MediumId> live = LiveLocations(record);
   const ReplicationVector& rv = record.expected;
 
@@ -1341,8 +1432,7 @@ void Master::ClassifyBlockLocked(const BlockRecord& record) {
   }
   bool copies_in_flight = false;
   int inflight_count = 0;
-  for (const auto& [key, when] : inflight_copies_) {
-    if (key.first != record.id) continue;
+  for (const auto& [key, when] : InflightCopiesOf(record.id)) {
     const MediumInfo* info = state_.FindMedium(key.second);
     if (info == nullptr || !state_.MediumLive(key.second)) continue;
     copies_in_flight = true;
@@ -1353,8 +1443,8 @@ void Master::ClassifyBlockLocked(const BlockRecord& record) {
   if (live.empty()) {
     // Nothing to copy from; if every replica is gone the block is lost
     // (lineage/erasure recovery is out of scope, as in stock HDFS).
-    repair_.ClearBackoff(record.id);
-    return;
+    *clear_backoff = true;
+    return work;
   }
 
   int total_actual = 0;
@@ -1369,9 +1459,9 @@ void Master::ClassifyBlockLocked(const BlockRecord& record) {
 
   int copies_needed = 0;
   auto classify_copy = [&](TierId entry_tier, bool drain_covered) {
-    RepairWork work;
-    work.block = record.id;
-    work.tier = entry_tier;
+    RepairWork copy;
+    copy.block = record.id;
+    copy.tier = entry_tier;
     RepairPriority base;
     if (last_replica) {
       base = RepairPriority::kLastReplica;
@@ -1384,8 +1474,8 @@ void Master::ClassifyBlockLocked(const BlockRecord& record) {
     } else {
       base = RepairPriority::kUnderReplicated;
     }
-    work.priority = repair_.EscalatedPriority(record.id, base);
-    repair_.Enqueue(work);
+    copy.priority = repair_.EscalatedPriority(record.id, base);
+    work.push_back(copy);
     ++copies_needed;
   };
 
@@ -1411,37 +1501,44 @@ void Master::ClassifyBlockLocked(const BlockRecord& record) {
     classify_copy(kUnspecifiedTier, d < drain_cover_u);
   }
 
-  if (copies_needed == 0 && !copies_in_flight) {
-    // Healthy (possibly over-replicated): forget any failure history.
-    repair_.ClearBackoff(record.id);
-  }
+  // Healthy (possibly over-replicated): forget any failure history.
+  *clear_backoff = copies_needed == 0 && !copies_in_flight;
 
   // 3. Over-replication: trim, but never while copies of this block are
   // unconfirmed — including ones classified just above: the replica to
   // be dropped may be the only usable copy source. The trim happens on a
   // later round, once the copies land (HDFS likewise never invalidates a
   // re-replication source).
-  if (copies_in_flight || copies_needed > 0) return;
+  if (copies_in_flight || copies_needed > 0) return work;
   int excess = -u_deficit;
   for (int i = 0; i < excess; ++i) {
-    RepairWork work;
-    work.block = record.id;
-    work.priority = RepairPriority::kOverReplicated;
-    work.is_trim = true;
-    repair_.Enqueue(work);
+    RepairWork trim;
+    trim.block = record.id;
+    trim.priority = RepairPriority::kOverReplicated;
+    trim.is_trim = true;
+    work.push_back(trim);
   }
   // 4. Drain trims: every requirement is met by in-service replicas
   // alone, so replicas still sitting on draining workers are now
   // redundant — delete them so the drain can finish.
   for (MediumId m : draining_media) {
-    RepairWork work;
-    work.block = record.id;
-    work.priority = RepairPriority::kDecommission;
-    work.is_trim = true;
-    work.drain = true;
-    work.victim = m;
-    repair_.Enqueue(work);
+    RepairWork trim;
+    trim.block = record.id;
+    trim.priority = RepairPriority::kDecommission;
+    trim.is_trim = true;
+    trim.drain = true;
+    trim.victim = m;
+    work.push_back(trim);
   }
+  return work;
+}
+
+bool Master::ClassifyBlockLocked(const BlockRecord& record) {
+  bool clear_backoff = false;
+  std::vector<RepairWork> work = ClassifyBlock(record, &clear_backoff);
+  if (clear_backoff) repair_.ClearBackoff(record.id);
+  for (const RepairWork& item : work) repair_.Enqueue(item);
+  return !work.empty();
 }
 
 int Master::DispatchCopyLocked(const RepairWork& work) {
@@ -1460,8 +1557,8 @@ int Master::DispatchCopyLocked(const RepairWork& work) {
   // double-queue). Draining media are excluded by the placement indexes
   // themselves.
   std::vector<MediumId> existing = live;
-  for (const auto& [key, when] : inflight_copies_) {
-    if (key.first == work.block) existing.push_back(key.second);
+  for (const auto& [key, when] : InflightCopiesOf(work.block)) {
+    existing.push_back(key.second);
   }
   for (MediumId m : repair_.CooldownTargets(work.block, now)) {
     existing.push_back(m);
@@ -1601,19 +1698,26 @@ int Master::RunReplicationMonitorLocked() {
   // delete the wrong things; wait for safe-mode exit.
   if (in_safe_mode()) return 0;
   ExpireInflight();
-  // Phase 1: classify every block into the scheduler's priority buckets
-  // (transient — re-derived from block-map ground truth each round, so
-  // the queue can never go stale).
+  MarkChangedMediaLocked();
+  // Phase 1: classify into the scheduler's priority buckets every block
+  // whose classification inputs changed since it was last classified,
+  // plus every block whose last classification queued work (budget
+  // deferral, backoff and cooldown re-derive it each round). Any other
+  // block would classify exactly as it did last time — to nothing — so
+  // the queue equals a full scan's, at a cost set by what changed.
   repair_.ClearQueue();
-  std::vector<BlockId> ids;
-  blocks_.ForEach(
-      [&ids](const BlockRecord& record) { ids.push_back(record.id); });
+  std::vector<BlockId> ids = TakeBlocksToClassifyLocked();
+  std::vector<RepairWork> reference;
+  if (repair_audit_) reference = ReferenceClassifyLocked(ids);
   for (BlockId id : ids) {
-    // Re-find each round: pruning mutates location lists.
-    BlockRecord* record = blocks_.FindMutable(id);
+    const BlockRecord* record = blocks_.Find(id);
     if (record == nullptr) continue;
-    PruneDeadReplicas(record);
-    ClassifyBlockLocked(*record);
+    PruneDeadReplicas(*record);
+    if (ClassifyBlockLocked(*record)) needed_blocks_.push_back(id);
+  }
+  if (repair_audit_) {
+    ++repair_audit_stats_.rounds;
+    if (repair_.QueuedWork() != reference) ++repair_audit_stats_.discrepancies;
   }
   // Phase 2: one dispatch pass over all queued work in global priority
   // order — a last-replica block anywhere beats every decommission
@@ -1624,12 +1728,35 @@ int Master::RunReplicationMonitorLocked() {
   return commands;
 }
 
+std::vector<RepairWork> Master::ReferenceClassifyLocked(
+    const std::vector<BlockId>& visited) {
+  RepairScheduler reference;
+  blocks_.ForEach([&](const BlockRecord& record) {
+    bool clear_backoff = false;
+    for (const RepairWork& item : ClassifyBlock(record, &clear_backoff)) {
+      reference.Enqueue(item);
+    }
+    if (std::binary_search(visited.begin(), visited.end(), record.id)) {
+      return;
+    }
+    // A block the round skips must be one the full scan leaves as it is:
+    // no replica to prune and no failure history to clear.
+    bool dead_replica = std::any_of(
+        record.locations.begin(), record.locations.end(),
+        [this](MediumId m) { return !state_.MediumLive(m); });
+    if (dead_replica || (clear_backoff && repair_.AttemptsFor(record.id) > 0)) {
+      ++repair_audit_stats_.discrepancies;
+    }
+  });
+  return reference.QueuedWork();
+}
+
 void Master::AdvanceDrainsLocked() {
   for (auto& [id, admin] : admin_states_) {
     if (admin != WorkerAdminState::kDecommissioning) continue;
     bool empty = true;
     for (MediumId m : state_.MediaOnWorker(id)) {
-      if (!blocks_.BlocksOnMedium(m).empty()) {
+      if (blocks_.NumBlocksOnMedium(m) > 0) {
         empty = false;
         break;
       }
@@ -1644,6 +1771,7 @@ void Master::AdvanceDrainsLocked() {
 
 Status Master::CommitReplica(BlockId block, MediumId medium) {
   std::lock_guard<std::mutex> service(service_mu_);
+  if (blocks_.Contains(block)) MarkBlockDirtyLocked(block);
   if (inflight_copies_.erase({block, medium}) > 0) {
     repair_.NoteCompleted(block, medium);
   }
@@ -1847,6 +1975,7 @@ Status Master::LoadImageInternal(const std::string& image,
   // against the recovered master.
   repair_.Reset();
   admin_states_.clear();
+  MarkAllBlocksDirtyLocked();
   // Until the surviving workers re-report, every replica location is
   // unknown: hold off on placement and re-replication decisions.
   safe_mode_block_target_.store(blocks_.NumBlocks(),
@@ -2166,6 +2295,7 @@ void Master::LeaveSafeMode() {
     OCTO_LOG(Warn) << "safe mode exit: " << lost_blocks_.size()
                    << " block(s) have no reported replica (lost)";
   }
+  MarkAllBlocksDirtyLocked();
   RunReplicationMonitorLocked();
 }
 
@@ -2214,6 +2344,16 @@ int Master::RepairInflightForWorker(WorkerId worker) const {
 int64_t Master::NextRepairRetryMicros() const {
   std::lock_guard<std::mutex> service(service_mu_);
   return repair_.NextRetryMicros(clock_->NowMicros());
+}
+
+void Master::EnableRepairAuditForTest(bool enabled) {
+  std::lock_guard<std::mutex> service(service_mu_);
+  repair_audit_ = enabled;
+}
+
+RepairAuditStats Master::repair_audit_stats() const {
+  std::lock_guard<std::mutex> service(service_mu_);
+  return repair_audit_stats_;
 }
 
 // ---------------------------------------------------------------------------
@@ -2272,7 +2412,7 @@ WorkerAdminState Master::worker_admin_state(WorkerId worker) const {
 bool Master::WorkerDrained(WorkerId worker) const {
   std::lock_guard<std::mutex> service(service_mu_);
   for (MediumId m : state_.MediaOnWorker(worker)) {
-    if (!blocks_.BlocksOnMedium(m).empty()) return false;
+    if (blocks_.NumBlocksOnMedium(m) > 0) return false;
   }
   return true;
 }

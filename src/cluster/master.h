@@ -6,8 +6,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <ranges>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -77,6 +79,16 @@ struct FileAccessStat {
   /// Access count: file opens + per-block worker-served reads.
   int64_t accesses = 0;
   int64_t bytes_read = 0;
+};
+
+/// Counters of the repair-classification audit (see
+/// Master::EnableRepairAuditForTest).
+struct RepairAuditStats {
+  /// Monitor rounds audited.
+  int64_t rounds = 0;
+  /// Rounds whose repair queue differed from the reference full scan's,
+  /// plus skipped blocks the full scan would have pruned or cleared.
+  int64_t discrepancies = 0;
 };
 
 /// Administrative lifecycle of a worker (orthogonal to liveness, which
@@ -197,7 +209,8 @@ struct MasterOptions {
 ///
 /// Lock order (outermost first): namespace structure/stripe locks ->
 /// namespace-tree quota mutex -> service mutex -> lease/block stripe
-/// mutexes, the edit-log mutex, and the access-stats mutex (leaves).
+/// mutexes (the block map's replica-index mutex nests inside its
+/// stripes), the edit-log mutex, and the access-stats mutex (leaves).
 /// EditLog::Commit is always invoked with no other lock held. The tiering
 /// engine's internal mutex sits ABOVE this whole hierarchy: the engine
 /// calls into the Master while holding it, and the Master only calls the
@@ -424,9 +437,20 @@ class Master {
 
   // -- replication monitor --------------------------------------------------------
 
-  /// One scan over all blocks: prunes dead replicas, schedules copies for
-  /// under-replication and deletions for over-replication. Returns the
-  /// number of commands queued.
+  /// One monitor round: expires overdue copies, prunes dead replicas,
+  /// classifies blocks into the repair scheduler's priority buckets and
+  /// dispatches copies for under-replication and deletions for
+  /// over-replication under the repair budgets. Returns the number of
+  /// commands queued.
+  ///
+  /// Classification is event-driven (DESIGN.md §15): a round visits only
+  /// the blocks marked dirty since the previous round — a block-map
+  /// mutation, an in-flight copy completing or aborting, or a status
+  /// change (death, revival, failure, drain start or stop) of a medium
+  /// holding a replica or an in-flight copy of it — plus the
+  /// blocks whose last classification queued work. Image load and
+  /// safe-mode exit mark every block. The resulting queue is the one a
+  /// scan of every block would build, at a cost set by what changed.
   int RunReplicationMonitor();
 
   /// Confirms a replica created by a kCopyReplica command.
@@ -581,6 +605,14 @@ class Master {
   /// can sleep exactly until then instead of polling.
   int64_t NextRepairRetryMicros() const;
 
+  /// Test hook: while enabled, every monitor round also runs the
+  /// reference classifier — the full scan over every block — and counts
+  /// a discrepancy when its queue differs from the round's, or when a
+  /// block the round skipped has a replica to prune or backoff history
+  /// to clear. Off by default; never enabled outside tests.
+  void EnableRepairAuditForTest(bool enabled);
+  RepairAuditStats repair_audit_stats() const;
+
  private:
   struct PendingBlock {
     std::string file;
@@ -626,11 +658,19 @@ class Master {
   /// kCopyReplica command for it. `reason` decides the scheduler's
   /// penalty (backoff / cooldown / none — see RepairAbort).
   void AbortInflightCopy(BlockId block, MediumId target, RepairAbort reason);
-  /// Classifies one block's replica state against its expected vector
-  /// and enqueues the needed copies/trims into the repair scheduler's
-  /// priority buckets (nothing is dispatched yet). Clears the block's
-  /// backoff state when it is healthy.
-  void ClassifyBlockLocked(const BlockRecord& record);
+  using InflightMap = std::map<std::pair<BlockId, MediumId>, int64_t>;
+
+  /// Classifies one block's replica state against its expected vector:
+  /// returns the copies/trims it needs, in enqueue order, and sets
+  /// `*clear_backoff` when the block is healthy (or lost) and its
+  /// failure history should go. Reads only; both the monitor and the
+  /// reference classifier of the audit call it.
+  std::vector<RepairWork> ClassifyBlock(const BlockRecord& record,
+                                        bool* clear_backoff) const;
+  /// Enqueues ClassifyBlock's work into the repair scheduler's priority
+  /// buckets (nothing is dispatched yet) and applies its backoff clear.
+  /// Returns true when work was queued.
+  bool ClassifyBlockLocked(const BlockRecord& record);
   /// Drains the scheduler's queue in priority order, dispatching each
   /// item that passes the backoff gate and the worker/medium budgets as
   /// a worker command. Returns commands queued.
@@ -648,7 +688,27 @@ class Master {
   /// kDecommissioned (called after a monitor round).
   void AdvanceDrainsLocked();
   /// Prunes replicas on dead workers from a block record.
-  void PruneDeadReplicas(BlockRecord* record);
+  void PruneDeadReplicas(const BlockRecord& record);
+  /// Queues `block` for the next monitor round's classification.
+  void MarkBlockDirtyLocked(BlockId block);
+  /// Queues every block (image load, safe-mode exit).
+  void MarkAllBlocksDirtyLocked();
+  /// Compares each medium's status (live, draining, registered) with the
+  /// previous round's view and marks every block with a replica or an
+  /// in-flight copy on a medium that changed. O(media).
+  void MarkChangedMediaLocked();
+  /// Drains the dirty set and merges it with the needed set: the blocks
+  /// this round classifies, ascending.
+  std::vector<BlockId> TakeBlocksToClassifyLocked();
+  /// The audit's reference classifier: classifies every block, returns
+  /// the queue a full scan would build, and counts skipped blocks (not
+  /// in `visited`) the full scan would prune or clear.
+  std::vector<RepairWork> ReferenceClassifyLocked(
+      const std::vector<BlockId>& visited);
+  /// The in-flight copies of `block`: its range of inflight_copies_,
+  /// which orders by (block, target).
+  std::ranges::subrange<InflightMap::const_iterator> InflightCopiesOf(
+      BlockId block) const;
   std::vector<MediumId> LiveLocations(const BlockRecord& record) const;
   PlacedReplica MakePlacedReplica(MediumId medium) const;
   /// Abandons in-flight copies whose jittered deadline has passed
@@ -775,7 +835,7 @@ class Master {
   int64_t commands_redelivered_ = 0;
   /// (block, medium) -> time a copy command was queued; counted as a
   /// replica during reconciliation to avoid duplicate scheduling.
-  std::map<std::pair<BlockId, MediumId>, int64_t> inflight_copies_;
+  InflightMap inflight_copies_;
   /// (block, copy target) -> source medium to invalidate once the copy
   /// confirms (replica moves scheduled by the rebalancer).
   std::map<std::pair<BlockId, MediumId>, MediumId> pending_moves_;
@@ -786,6 +846,21 @@ class Master {
   /// Administrative lifecycle per worker; absent = kInService. Guarded
   /// by service_mu_; the draining flag is mirrored into state_.
   std::map<WorkerId, WorkerAdminState> admin_states_;
+  /// Event-driven repair classification (RunReplicationMonitor), all
+  /// guarded by service_mu_. Blocks whose classification inputs changed
+  /// since their last classification (deduplicated, so never larger than
+  /// the block map plus in-flight copies); with all_blocks_dirty_ set,
+  /// every block is and individual marks are skipped.
+  std::unordered_set<BlockId> dirty_blocks_;
+  bool all_blocks_dirty_ = false;
+  /// Blocks whose last classification queued work, ascending; each round
+  /// reclassifies them until they classify to nothing.
+  std::vector<BlockId> needed_blocks_;
+  /// Each registered medium's status at the last round: 0 = not live,
+  /// 1 = live, 2 = live on a draining worker.
+  std::map<MediumId, int8_t> medium_status_;
+  bool repair_audit_ = false;
+  RepairAuditStats repair_audit_stats_;
 
   /// Fencing epoch stamped on every issued command and checked against
   /// heartbeats/reports. 1 on a fresh master; bumped at takeover.

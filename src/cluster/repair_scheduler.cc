@@ -47,6 +47,14 @@ int RepairScheduler::queued() const {
   return n;
 }
 
+std::vector<RepairWork> RepairScheduler::QueuedWork() const {
+  std::vector<RepairWork> out;
+  for (const auto& bucket : buckets_) {
+    out.insert(out.end(), bucket.begin(), bucket.end());
+  }
+  return out;
+}
+
 bool RepairScheduler::CanDispatch(WorkerId target_worker,
                                   MediumId target_medium,
                                   int64_t bytes) const {

@@ -64,6 +64,8 @@ struct RepairWork {
   bool is_trim = false;
   bool drain = false;
   MediumId victim = kInvalidMedium;
+
+  bool operator==(const RepairWork&) const = default;
 };
 
 /// Observable counters of the repair plane (Master::repair_stats()).
@@ -122,9 +124,10 @@ struct RepairThrottleOptions {
 /// holding `service_mu_` (see the master.h lock hierarchy — the
 /// scheduler is part of the service-state leaf, never takes locks, and
 /// never calls back into the Master). Queue contents are transient:
-/// every monitor round re-derives them from block-map ground truth, so
-/// the queue can never go stale or leak; only budgets, backoff, and
-/// cooldowns persist between rounds.
+/// every monitor round clears them and re-derives the work of the blocks
+/// it classifies from block-map ground truth, so the queue can never go
+/// stale or leak; only budgets, backoff, and cooldowns persist between
+/// rounds.
 class RepairScheduler {
  public:
   RepairScheduler() : RepairScheduler(RepairThrottleOptions{}, 42) {}
@@ -143,6 +146,8 @@ class RepairScheduler {
   /// Pops the highest-priority queued item (FIFO within a bucket).
   bool PopNext(RepairWork* out);
   int queued() const;
+  /// The queued items in the order PopNext would return them.
+  std::vector<RepairWork> QueuedWork() const;
 
   // -- throttle admission ---------------------------------------------------
 

@@ -27,7 +27,8 @@ cmake --build "$build_dir" -j --target bench_placement_hotpath \
 # scenarios (zipf hot-set drift, diurnal, scan/point mix) — DESIGN.md §13.
 "$build_dir/bench/bench_tiering" "$repo_root/BENCH_tiering.json"
 # Repair storm (one rack crashes under a foreground read workload):
-# throttled vs unthrottled re-replication — DESIGN.md §15.
+# throttled vs unthrottled re-replication, then the monitor round's cost
+# at 10k, 100k and 1M blocks — DESIGN.md §15.
 "$build_dir/bench/bench_repair" "$repo_root/BENCH_repair.json"
 echo "results: $repo_root/BENCH_placement.json, $repo_root/BENCH_sim.json," \
      "$repo_root/BENCH_metadata.json, $repo_root/BENCH_tiering.json," \
@@ -64,6 +65,13 @@ if command -v python3 >/dev/null 2>&1; then
       "$repo_root/BENCH_repair.json" \
       "$repo_root/BENCH_repair.baseline.json" \
       --metric p99_gain_vs_unthrottled
+  # The monitor round must not grow with the block map: the idle round at
+  # 1M blocks stays within 2x of the one at 10k (idle_round_flatness =
+  # 10k time / 1M time, floor 0.5, no tolerance below it).
+  python3 "$repo_root/tools/check_bench_regression.py" \
+      "$repo_root/BENCH_repair.json" \
+      "$repo_root/BENCH_repair.baseline.json" \
+      --metric idle_round_flatness --tolerance 0
 else
   echo "warning: python3 not found, skipping bench regression check" >&2
 fi
