@@ -14,6 +14,9 @@ Status BlockManager::AddBlock(BlockRecord record) {
       return Status::AlreadyExists("block " + std::to_string(id));
     }
     for (MediumId medium : record.locations) IndexAdd(id, medium);
+    if (!record.locations.empty()) {
+      num_with_replicas_.fetch_add(1, std::memory_order_relaxed);
+    }
     stripe.blocks.emplace(id, std::move(record));
   }
   // Keep the allocator past replayed/loaded ids.
@@ -34,6 +37,9 @@ Status BlockManager::RemoveBlock(BlockId id) {
   }
   BlockRecord record = std::move(it->second);
   stripe.blocks.erase(it);
+  if (!record.locations.empty()) {
+    num_with_replicas_.fetch_sub(1, std::memory_order_relaxed);
+  }
   while (!record.locations.empty()) {
     MediumId medium = record.locations.back();
     record.locations.pop_back();
@@ -55,6 +61,7 @@ Status BlockManager::AddReplica(BlockId id, MediumId medium) {
                                  " already has a replica on medium " +
                                  std::to_string(medium));
   }
+  if (locs.empty()) num_with_replicas_.fetch_add(1, std::memory_order_relaxed);
   locs.push_back(medium);
   IndexAdd(id, medium);
   return Status::OK();
@@ -75,6 +82,7 @@ Status BlockManager::RemoveReplica(BlockId id, MediumId medium) {
                             std::to_string(medium));
   }
   locs.erase(pos);
+  if (locs.empty()) num_with_replicas_.fetch_sub(1, std::memory_order_relaxed);
   IndexRemove(it->second, medium);
   return Status::OK();
 }
@@ -180,6 +188,7 @@ void BlockManager::Reset() {
     std::lock_guard<std::mutex> lock(index_mu_);
     by_medium_.clear();
   }
+  num_with_replicas_.store(0, std::memory_order_relaxed);
   next_block_id_.store(1, std::memory_order_relaxed);
 }
 

@@ -96,6 +96,11 @@ class BlockManager {
   void ForEach(const std::function<void(const BlockRecord&)>& fn) const;
 
   int64_t NumBlocks() const;
+  /// Number of blocks with at least one replica location (O(1); the
+  /// safe-mode reported fraction). Kept by the four mutators and Reset.
+  int64_t NumBlocksWithReplicas() const {
+    return num_with_replicas_.load(std::memory_order_relaxed);
+  }
 
   /// Drops every record and resets the id allocator (image load rebuilds
   /// the map from scratch).
@@ -122,6 +127,7 @@ class BlockManager {
   void IndexRemove(const BlockRecord& record, MediumId medium);
 
   std::atomic<BlockId> next_block_id_{1};
+  std::atomic<int64_t> num_with_replicas_{0};
   std::array<Stripe, kStripeCount> stripes_;
   /// medium -> blocks with a replica on it, kept by the four mutators.
   mutable std::mutex index_mu_;

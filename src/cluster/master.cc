@@ -37,20 +37,13 @@ Master::Master(MasterOptions options, Clock* clock)
         ImageStore::Open(options_.metadata_dir, options_.images_retained);
     OCTO_CHECK(images.ok()) << images.status().ToString();
     images_ = std::move(images).value();
-  } else if (options_.edit_log_path.empty()) {
-    log_ = std::make_unique<EditLog>();
   } else {
-    auto opened = EditLog::Open(options_.edit_log_path);
-    OCTO_CHECK(opened.ok()) << opened.status().ToString();
-    log_ = std::move(opened).value();
+    log_ = std::make_unique<EditLog>();
   }
   MoopOptions moop;
   moop.mode = options_.placement_mode;
   placement_ = MakeMoopPolicy(moop);
   retrieval_ = MakeOctopusRetrievalPolicy();
-  // The Master group-commits: every mutation calls log_->Commit() before
-  // acknowledging, so the per-record flush would only add syscalls.
-  log_->SetSyncEachRecord(false);
 }
 
 void Master::SetPlacementPolicy(std::unique_ptr<PlacementPolicy> policy) {
@@ -192,41 +185,6 @@ void Master::NotifyDelete(const std::string& path) {
   if (listener != nullptr) listener->OnDelete(path);
 }
 
-Status Master::ApplyHeartbeatStatsLocked(const HeartbeatPayload& hb) {
-  const WorkerInfo* w = state_.FindWorker(hb.worker);
-  if (w == nullptr) {
-    return Status::NotFound("worker " + std::to_string(hb.worker));
-  }
-  OCTO_RETURN_IF_ERROR(state_.SetWorkerAlive(hb.worker, true));
-  OCTO_RETURN_IF_ERROR(state_.UpdateWorkerStats(hb.worker, w->nr_connections,
-                                                clock_->NowMicros()));
-  for (const MediumStats& stats : hb.media) {
-    const MediumInfo* m = state_.FindMedium(stats.medium);
-    if (m == nullptr || m->worker != hb.worker) continue;
-    OCTO_RETURN_IF_ERROR(state_.UpdateMediumStats(
-        stats.medium, stats.remaining_bytes, m->nr_connections));
-  }
-  // Fold the worker-served read counters into per-file access stats (the
-  // paper-sequel heat feed: per-block counts ride heartbeats, the master
-  // attributes them to files via the block map). Blocks already deleted
-  // or predating the file-id field are skipped.
-  if (access_stats_enabled()) {
-    for (const BlockReadStat& stat : hb.block_reads) {
-      const BlockRecord* record = blocks_.Find(stat.block);
-      if (record == nullptr) continue;
-      RecordFileAccess(record->file_id, record->file, stat.count, stat.bytes);
-    }
-  }
-  // Media whose device died (I/O errors): drop their replicas and
-  // re-replicate from the surviving copies.
-  for (MediumId medium : hb.failed_media) {
-    const MediumInfo* m = state_.FindMedium(medium);
-    if (m == nullptr || m->worker != hb.worker) continue;
-    HandleFailedMedium(medium);
-  }
-  return Status::OK();
-}
-
 Result<std::vector<WorkerCommand>> Master::Heartbeat(
     const HeartbeatPayload& hb) {
   // Phase 1 (service lock): stats, failed media, bad replicas, and lease
@@ -248,7 +206,37 @@ Result<std::vector<WorkerCommand>> Master::Heartbeat(
           std::to_string(hb.worker) + " (current " + std::to_string(epoch) +
           "); re-register first");
     }
-    OCTO_RETURN_IF_ERROR(ApplyHeartbeatStatsLocked(hb));
+    const WorkerInfo* w = state_.FindWorker(hb.worker);
+    if (w == nullptr) {
+      return Status::NotFound("worker " + std::to_string(hb.worker));
+    }
+    OCTO_RETURN_IF_ERROR(state_.SetWorkerAlive(hb.worker, true));
+    OCTO_RETURN_IF_ERROR(state_.UpdateWorkerStats(hb.worker, w->nr_connections,
+                                                  clock_->NowMicros()));
+    for (const MediumStats& stats : hb.media) {
+      const MediumInfo* m = state_.FindMedium(stats.medium);
+      if (m == nullptr || m->worker != hb.worker) continue;
+      OCTO_RETURN_IF_ERROR(state_.UpdateMediumStats(
+          stats.medium, stats.remaining_bytes, m->nr_connections));
+    }
+    // Fold the worker-served read counters into per-file access stats (the
+    // paper-sequel heat feed: per-block counts ride heartbeats, the master
+    // attributes them to files via the block map). Blocks already deleted
+    // or predating the file-id field are skipped.
+    if (access_stats_enabled()) {
+      for (const BlockReadStat& stat : hb.block_reads) {
+        const BlockRecord* record = blocks_.Find(stat.block);
+        if (record == nullptr) continue;
+        RecordFileAccess(record->file_id, record->file, stat.count, stat.bytes);
+      }
+    }
+    // Media whose device died (I/O errors): drop their replicas and
+    // re-replicate from the surviving copies.
+    for (MediumId medium : hb.failed_media) {
+      const MediumInfo* m = state_.FindMedium(medium);
+      if (m == nullptr || m->worker != hb.worker) continue;
+      HandleFailedMedium(medium);
+    }
     // Corrupt replicas found by the worker's scrubber ride the heartbeat
     // (the DataNode's bad-block report). NotFound is fine: the replica may
     // already have been dropped via a client read report or RunScrubber.
@@ -318,53 +306,6 @@ Status Master::AckCommand(WorkerId worker, uint64_t command_id) {
 Status Master::ProcessBlockReport(WorkerId worker, const BlockReport& report,
                                   uint64_t reporter_epoch) {
   std::lock_guard<std::mutex> service(service_mu_);
-  return ApplyBlockReportLocked(worker, report, reporter_epoch);
-}
-
-void Master::StageBlockReport(WorkerId worker, BlockReport report,
-                              uint64_t reporter_epoch) {
-  std::lock_guard<std::mutex> staging(staging_mu_);
-  staged_reports_.push_back(
-      StagedBlockReport{worker, std::move(report), reporter_epoch});
-}
-
-void Master::StageHeartbeatStats(HeartbeatPayload hb) {
-  std::lock_guard<std::mutex> staging(staging_mu_);
-  staged_heartbeats_.push_back(std::move(hb));
-}
-
-int Master::FlushStagedReports() {
-  std::vector<HeartbeatPayload> heartbeats;
-  std::vector<StagedBlockReport> reports;
-  {
-    std::lock_guard<std::mutex> staging(staging_mu_);
-    heartbeats.swap(staged_heartbeats_);
-    reports.swap(staged_reports_);
-  }
-  if (heartbeats.empty() && reports.empty()) return 0;
-  int applied = 0;
-  std::lock_guard<std::mutex> service(service_mu_);
-  for (const HeartbeatPayload& hb : heartbeats) {
-    uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-    if (hb.master_epoch > epoch ||
-        (hb.master_epoch != 0 && hb.master_epoch < epoch)) {
-      continue;  // fenced: addressed to a different master incarnation
-    }
-    if (ApplyHeartbeatStatsLocked(hb).ok()) ++applied;
-  }
-  for (const StagedBlockReport& staged : reports) {
-    if (ApplyBlockReportLocked(staged.worker, staged.report,
-                               staged.reporter_epoch)
-            .ok()) {
-      ++applied;
-    }
-  }
-  return applied;
-}
-
-Status Master::ApplyBlockReportLocked(WorkerId worker,
-                                      const BlockReport& report,
-                                      uint64_t reporter_epoch) {
   if (reporter_epoch != 0 && reporter_epoch != epoch()) {
     // Fencing both ways: a report addressed to a predecessor of this
     // master (reporter ahead) or built for a deposed one (reporter
@@ -2245,11 +2186,8 @@ Status Master::CheckNotInSafeMode(const char* op) const {
 double Master::SafeModeReportedFraction() const {
   int64_t target = safe_mode_block_target_.load(std::memory_order_relaxed);
   if (!in_safe_mode() || target <= 0) return 1.0;
-  int64_t reported = 0;
-  blocks_.ForEach([&reported](const BlockRecord& record) {
-    if (!record.locations.empty()) ++reported;
-  });
-  return static_cast<double>(reported) / static_cast<double>(target);
+  return static_cast<double>(blocks_.NumBlocksWithReplicas()) /
+         static_cast<double>(target);
 }
 
 void Master::MaybeExitSafeMode() {

@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -64,45 +63,40 @@ enum class ReplayMode { kStrict, kRecovery };
 /// for every successful mutation; recovery and Backup Masters replay
 /// records on top of the last checkpoint to reconstruct the namespace.
 ///
-/// Two backing stores exist:
-///  - Open(path): the legacy single-file text log — one raw line per
-///    record, no framing, no integrity checks. Kept so journals written
-///    by earlier builds still load, and for tests that inspect the file.
-///  - OpenSegmented(dir): HDFS-style segments. Finalized segments are
-///    named `edits_<first>-<last>`, the tail being written is
-///    `edits_inprogress_<first>` (txids are 0-based record indexes).
-///    Every record — and a per-segment header — is framed as
-///    `<len>\t<crc32c hex8>\t<payload>\n`. On open, a torn or bit-flipped
-///    tail of the in-progress segment is truncated back to the last valid
-///    frame (the longest valid prefix wins; nothing past the first bad
-///    frame is ever accepted), while any damage inside a finalized
-///    segment is a hard Status::Corruption — finalized segments were
-///    fsynced before their rename, so damage there is not a crash
-///    artifact. RollSegment() finalizes the tail (fdatasync + rename +
-///    directory fsync) and opens a fresh in-progress segment; the Master
-///    rolls at each checkpoint so recovery is image + later segments.
+/// A log is either in memory (EditLog()) or backed by a directory of
+/// HDFS-style segments (OpenSegmented(dir)). Finalized segments are
+/// named `edits_<first>-<last>`, the tail being written is
+/// `edits_inprogress_<first>` (txids are 0-based record indexes). Every
+/// record — and a per-segment header — is framed as
+/// `<len>\t<crc32c hex8>\t<payload>\n`. On open, a torn or bit-flipped
+/// tail of the in-progress segment is truncated back to the last valid
+/// frame (the longest valid prefix wins; nothing past the first bad
+/// frame is ever accepted), while any damage inside a finalized segment
+/// is a hard Status::Corruption — finalized segments were fsynced before
+/// their rename, so damage there is not a crash artifact. RollSegment()
+/// finalizes the tail (fdatasync + rename + directory fsync) and opens a
+/// fresh in-progress segment; the Master rolls at each checkpoint so
+/// recovery is image + later segments.
 ///
 /// Threading contract: the typed Log* appenders, Commit(), SyncToDisk(),
 /// RollSegment(), ReadEntries(), size(), durable_records(), sync_count(),
-/// checkpointed()/MarkCheckpointed(), PurgeSegmentsBefore(), and
-/// Truncate() are thread-safe. A mutation's record must be appended while
-/// the caller still holds that path's namespace lock, so the journal
-/// order equals the linearization order that failover replay
-/// reconstructs; Commit() (durability) may — and for lock-ordering
-/// reasons must — happen after the namespace lock is released, but
-/// before the mutation is acked. entries() returns a reference into
-/// internal state and is only safe when no appender is running
-/// (replay/checkpoint paths, tests); concurrent readers use
-/// ReadEntries(). SetSyncEachRecord/SetFsyncOnFlush/SetWriteFaultHook
+/// checkpointed()/MarkCheckpointed() and PurgeSegmentsBefore() are
+/// thread-safe. A mutation's record must be appended while the caller
+/// still holds that path's namespace lock, so the journal order equals
+/// the linearization order that failover replay reconstructs; Commit()
+/// (durability) may — and for lock-ordering reasons must — happen after
+/// the namespace lock is released, but before the mutation is acked.
+/// entries() returns a reference into internal state and is only safe
+/// when no appender is running (replay/checkpoint paths, tests);
+/// concurrent readers use ReadEntries(). SetFsyncOnFlush/SetWriteFaultHook
 /// are configuration and must be called before concurrent use.
 ///
-/// Durability and failure: with sync_each_record (the default) every
-/// append is written and flushed immediately, and Commit() only reports
-/// status. With it off, appends only buffer and Commit() runs a group
-/// commit: one caller becomes the leader and flushes every record
+/// Durability and failure: appends only buffer; Commit() runs a group
+/// commit: one caller becomes the leader and writes every record
 /// appended so far in a single write, while concurrent appenders keep
 /// accumulating the next batch; callers whose records a leader already
-/// covered return without touching the file. Any write, flush, or fsync
+/// covered return without touching the file. RollSegment() also writes
+/// the buffered suffix before finalizing. Any write, flush, or fsync
 /// failure (short write, ENOSPC, injected fault) is *sticky*: the log
 /// stops writing, every subsequent Commit() returns the original error,
 /// and the caller (Master) is expected to fail stop — an edit is acked
@@ -121,10 +115,6 @@ class EditLog {
 
   /// In-memory journal.
   EditLog();
-
-  /// Legacy file-backed journal: records are appended to `path` as raw
-  /// lines; existing records are loaded into memory first.
-  static Result<std::unique_ptr<EditLog>> Open(const std::string& path);
 
   /// Segmented, checksummed journal stored in `dir` (created if missing;
   /// fsimage_* files in the same directory are ignored). Loads all
@@ -179,8 +169,8 @@ class EditLog {
   /// RollSegment() always fsyncs the closing segment, and pre-paying
   /// that sync here (kernel wait runs with internal locks released, like
   /// a group-commit leader) shrinks the in-lock sync to whatever few
-  /// records arrive in between. No-op for in-memory and legacy
-  /// single-file logs. Write/sync failures are sticky like Commit()'s.
+  /// records arrive in between. No-op for in-memory logs. Write/sync
+  /// failures are sticky like Commit()'s.
   Status SyncToDisk();
 
   /// Finalizes the in-progress segment (flushing any undurable suffix
@@ -196,10 +186,6 @@ class EditLog {
   /// Pass the *oldest retained* image's txid, not the newest, so falling
   /// back to an older image still finds its replay tail.
   Status PurgeSegmentsBefore(int64_t txid);
-
-  /// Toggles per-record flushing (on by default). Turn off to enable
-  /// group commit via Commit(). Only meaningful for file-backed logs.
-  void SetSyncEachRecord(bool sync_each_record);
 
   /// When on, every flush is followed by fdatasync so records survive a
   /// host crash, not just a process crash (off by default: flushes reach
@@ -219,8 +205,9 @@ class EditLog {
   /// The sticky error from the first failed write/flush, or OK.
   Status last_io_error() const;
 
-  /// Number of physical flushes performed so far (one per record in
-  /// sync_each_record mode, one per batch under group commit).
+  /// Number of batched segment writes performed so far: one per
+  /// group-commit leader, plus one per SyncToDisk()/RollSegment() that
+  /// found undurable records.
   int64_t sync_count() const;
   /// End txid of the durable prefix: every record with txid below this
   /// has been written to the backing file.
@@ -247,11 +234,6 @@ class EditLog {
   int64_t checkpointed() const;
   void MarkCheckpointed(int64_t up_to);
 
-  /// Drops all records and resets txids to 0 (after a legacy full
-  /// checkpoint). Truncates the backing file when present; a segmented
-  /// log deletes every segment and starts a fresh one.
-  Status Truncate();
-
   /// Applies records [from, entries.size()) to `tree` with superuser
   /// rights. `from` indexes into `entries` (callers with a purged log
   /// pass the ReadEntries() copy and a rebased offset). Stops at the
@@ -272,10 +254,12 @@ class EditLog {
   // Appends scratch_ as one record; called with mu_ held.
   void AppendScratchLocked();
 
-  // Flushes out_ and, when fsync_on_flush_ is set, fdatasyncs the backing
-  // file; called with mu_ released (leader) or held (per-record mode).
-  // Legacy backend only.
-  bool FlushFile();
+  // Group-commit leader section: writes every undurable record as one
+  // batch (fdatasync'ing it when `sync` and fsync_on_flush_ are set)
+  // with mu_ released in between, then publishes the new durable prefix
+  // or the sticky error. Requires mu_ held via `lock`, no active leader,
+  // and a non-empty undurable suffix.
+  Status LeadFlushLocked(std::unique_lock<std::mutex>* lock, bool sync);
 
   // Segmented write helpers. They touch fd_/seg_bytes_ which are guarded
   // by "mu_ held, or being the active group-commit leader" — the leader
@@ -288,17 +272,12 @@ class EditLog {
   Status RecoverInProgressSegment(int64_t first, const std::string& path);
   Status LoadFinalizedSegment(const Segment& seg);
 
-  bool persistent() const { return segmented_ || !file_path_.empty(); }
-
   mutable std::mutex mu_;
   std::condition_variable sync_cv_;
   std::vector<std::string> entries_;  // records [base_txid_, size())
   int64_t checkpointed_ = 0;
-  std::string file_path_;  // legacy backend; empty otherwise
-  std::ofstream out_;      // legacy backend stream
-  int fd_ = -1;            // segment fd (segmented) / fdatasync fd (legacy)
+  int fd_ = -1;  // in-progress segment fd
   bool fsync_on_flush_ = false;
-  bool sync_each_record_ = true;
   bool sync_active_ = false;     // a group-commit leader is flushing
   size_t durable_records_ = 0;   // relative to base_txid_
   int64_t sync_count_ = 0;
@@ -306,7 +285,7 @@ class EditLog {
   std::vector<std::string> batch_;  // reused leader batch buffer
   std::string leader_buf_;          // reused leader frame buffer
 
-  // Segmented backend state.
+  // Segment state (unused by in-memory logs).
   bool segmented_ = false;
   std::string dir_;
   int64_t base_txid_ = 0;

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "common/strings.h"
@@ -129,15 +128,6 @@ std::string FsImage::Serialize(const NamespaceTree& tree) {
   return out;
 }
 
-Status FsImage::Save(const NamespaceTree& tree, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::IoError("cannot open fsimage for write: " + path);
-  out << Serialize(tree);
-  out.close();
-  if (!out) return Status::IoError("short write to fsimage " + path);
-  return Status::OK();
-}
-
 Status FsImage::Deserialize(const std::string& image, NamespaceTree* tree,
                             Mode mode) {
   std::istringstream in(image);
@@ -248,14 +238,6 @@ Status FsImage::Deserialize(const std::string& image, NamespaceTree* tree,
     }
   }
   return Status::OK();
-}
-
-Status FsImage::Load(const std::string& path, NamespaceTree* tree) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open fsimage " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(buffer.str(), tree);
 }
 
 }  // namespace octo

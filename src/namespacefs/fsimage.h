@@ -9,10 +9,10 @@
 
 namespace octo {
 
-/// Namespace checkpoint reader/writer (the HDFS "fsimage"). The Master's
-/// fuzzy checkpoint and a Backup Master both serialize the NamespaceTree
-/// so recovery only replays the edit log tail written after the
-/// checkpoint.
+/// Namespace checkpoint format (the HDFS "fsimage"). The Master's fuzzy
+/// checkpoint and a Backup Master both serialize the NamespaceTree so
+/// recovery only replays the edit log tail written after the checkpoint;
+/// ImageStore is what puts an image on disk (CRC trailer, atomic rename).
 ///
 /// Format: one inode per tab-separated text line, after an
 /// `OCTO_FSIMAGE\t<version>` header. Version 2 percent-escapes control
@@ -32,11 +32,6 @@ class FsImage {
   /// lines were captured later and the patch is authoritative.
   enum class Mode { kStrict, kFuzzy };
 
-  /// Writes `tree` to `path` (text format, one inode per line). NOT
-  /// atomic or checksummed — ImageStore wraps this format for durable
-  /// master checkpoints; this entry point remains for tools and tests.
-  static Status Save(const NamespaceTree& tree, const std::string& path);
-
   /// Serializes `tree` to a string (used for in-memory checkpoints).
   static std::string Serialize(const NamespaceTree& tree);
 
@@ -49,10 +44,6 @@ class FsImage {
   /// to `out`. Field escaping per the class comment.
   static void AppendEntry(std::string* out,
                           const NamespaceTree::VisitEntry& entry);
-
-  /// Reconstructs a namespace from a checkpoint file into `tree`, which
-  /// must be freshly constructed.
-  static Status Load(const std::string& path, NamespaceTree* tree);
 
   /// Reconstructs from a serialized string (see Mode for duplicate
   /// handling).

@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "namespacefs/edit_log.h"
 #include "namespacefs/fsimage.h"
+#include "namespacefs/image_store.h"
 #include "namespacefs/lease_manager.h"
 #include "namespacefs/namespace_tree.h"
 
@@ -107,30 +108,6 @@ TEST(EditLogTest, MalformedRecordReported) {
   EXPECT_TRUE(EditLog::Replay({"MKDIR"}, 0, &tree).IsCorruption());
 }
 
-TEST(EditLogTest, FileBackedLogPersists) {
-  auto path = std::filesystem::temp_directory_path() / "octo_editlog_test";
-  std::filesystem::remove(path);
-  {
-    auto log = EditLog::Open(path.string());
-    ASSERT_TRUE(log.ok());
-    (*log)->LogMkdirs("/persisted");
-    (*log)->LogRename("/a", "/b");
-  }
-  {
-    auto log = EditLog::Open(path.string());
-    ASSERT_TRUE(log.ok());
-    ASSERT_EQ((*log)->size(), 2);
-    EXPECT_EQ((*log)->entries()[0], "MKDIR\t/persisted");
-    ASSERT_TRUE((*log)->Truncate().ok());
-  }
-  {
-    auto log = EditLog::Open(path.string());
-    ASSERT_TRUE(log.ok());
-    EXPECT_EQ((*log)->size(), 0);
-  }
-  std::filesystem::remove(path);
-}
-
 // Property: a random operation sequence replayed from the journal yields a
 // byte-identical fsimage.
 class JournalPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -222,16 +199,21 @@ TEST(FsImageTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(loaded.GetBlocks("/data/f")->size(), 1u);
 }
 
-TEST(FsImageTest, SaveLoadFile) {
-  auto path = std::filesystem::temp_directory_path() / "octo_fsimage_test";
+TEST(FsImageTest, SaveLoadThroughImageStore) {
+  auto dir = std::filesystem::temp_directory_path() / "octo_fsimage_test";
+  std::filesystem::remove_all(dir);
   ManualClock clock;
   NamespaceTree tree(&clock);
   ASSERT_TRUE(tree.Mkdirs("/x/y", kRoot).ok());
-  ASSERT_TRUE(FsImage::Save(tree, path.string()).ok());
+  auto store = ImageStore::Open(dir.string());
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->WriteImage(7, FsImage::Serialize(tree)).ok());
+  auto image = (*store)->ReadImage(7);
+  ASSERT_TRUE(image.ok());
   NamespaceTree loaded(&clock);
-  ASSERT_TRUE(FsImage::Load(path.string(), &loaded).ok());
+  ASSERT_TRUE(FsImage::Deserialize(*image, &loaded).ok());
   EXPECT_TRUE(loaded.Exists("/x/y"));
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FsImageTest, RejectsCorruptImages) {

@@ -1,7 +1,9 @@
 #!/bin/sh
 # End-to-end test of the octofs CLI across separate process invocations:
-# namespace + block data must persist via fsimage / edit log / disk-backed
-# block stores, and setrep moves must survive a "restart".
+# namespace + block data must persist via the metadata directory
+# (checkpoint images + segmented edit log) and disk-backed block stores,
+# setrep moves must survive a "restart", and a torn journal tail must be
+# cut off on the next boot without losing any earlier file.
 set -e
 
 OCTOFS="$1"
@@ -15,6 +17,13 @@ fail() { echo "FAIL: $1" >&2; exit 1; }
 printf 'tiered storage works' > "$STATE/local.txt"
 "$OCTOFS" --state "$STATE" mkdir /data
 "$OCTOFS" --state "$STATE" put "$STATE/local.txt" /data/file.txt 1,0,2
+
+# The metadata lives in the Master's metadata directory: a checksummed
+# in-progress journal segment and a verified checkpoint image.
+ls "$STATE"/meta/edits_inprogress_* >/dev/null 2>&1 \
+  || fail "no in-progress journal segment under meta/"
+ls "$STATE"/meta/fsimage_* >/dev/null 2>&1 \
+  || fail "no checkpoint image under meta/"
 
 # Read back in a fresh process.
 OUT=$("$OCTOFS" --state "$STATE" cat /data/file.txt)
@@ -47,6 +56,24 @@ OUT=$("$OCTOFS" --state "$STATE" cat /data/renamed.txt)
 "$OCTOFS" --state "$STATE" put "$STATE/local.txt" /data/again.txt
 "$OCTOFS" --state "$STATE" get /data/again.txt "$STATE/out.txt"
 cmp -s "$STATE/local.txt" "$STATE/out.txt" || fail "get round-trip mismatch"
+
+# A crash mid-append leaves a torn frame at the journal tail: the next
+# boot truncates it, and every earlier file survives.
+"$OCTOFS" --state "$STATE" mkdir /data/keep
+for SEG in "$STATE"/meta/edits_inprogress_*; do
+  printf '57\t0badc0de\tMKDIR\t/torn' >> "$SEG"
+done
+OUT=$("$OCTOFS" --state "$STATE" cat /data/again.txt)
+[ "$OUT" = "tiered storage works" ] || fail "cat after torn tail: $OUT"
+"$OCTOFS" --state "$STATE" ls / | grep -q '/torn' \
+  && fail "torn journal record was replayed"
+"$OCTOFS" --state "$STATE" ls /data | grep -q '/data/keep' \
+  || fail "directory made before the torn tail is gone"
+"$OCTOFS" --state "$STATE" put "$STATE/local.txt" /data/after.txt
+for F in /data/again.txt /data/after.txt; do
+  OUT=$("$OCTOFS" --state "$STATE" cat "$F")
+  [ "$OUT" = "tiered storage works" ] || fail "cat $F after recovery: $OUT"
+done
 
 # report runs and mentions the tiers.
 "$OCTOFS" --state "$STATE" report | grep -q 'Memory' || fail "report"

@@ -843,13 +843,19 @@ TEST(RepairChaosTest, MassFailureSeed3) { RunMassFailure(3); }
 // decommission and maintenance, SetReplication churn, deletes, copy
 // storms and clock jumps, with a monitor round and a heartbeat pump after
 // each. Every round's queue must equal the reference full scan's, and
-// the block map's per-medium replica index must equal a brute-force scan.
+// the block map's per-medium replica index and its count of blocks with
+// a replica (the safe-mode reported fraction) must equal a brute-force
+// scan — after every round and after a takeover.
 
 void ExpectIndexMatchesScan(Cluster* cluster) {
   std::map<MediumId, std::vector<BlockId>> scanned;
+  int64_t with_replicas = 0;
   cluster->master()->block_manager().ForEach([&](const BlockRecord& record) {
     for (MediumId m : record.locations) scanned[m].push_back(record.id);
+    if (!record.locations.empty()) ++with_replicas;
   });
+  EXPECT_EQ(cluster->master()->block_manager().NumBlocksWithReplicas(),
+            with_replicas);
   for (const auto& [id, info] : cluster->master()->cluster_state().media()) {
     std::vector<BlockId> expected = scanned[id];
     std::sort(expected.begin(), expected.end());
@@ -941,6 +947,18 @@ void RunAuditedChurn(uint64_t seed) {
   RepairAuditStats audit = master->repair_audit_stats();
   EXPECT_GE(audit.rounds, kSteps);
   EXPECT_EQ(audit.discrepancies, 0);
+
+  // Takeover: the promoted master rebuilds its block map from the image
+  // (no locations yet) and then from the survivors' reports.
+  ASSERT_TRUE(cluster->EnableBackup().ok());
+  cluster->CrashMaster();
+  ASSERT_TRUE(cluster->PromoteBackup().ok());
+  ExpectIndexMatchesScan(cluster.get());
+  (void)cluster->SendBlockReports();
+  ExpectIndexMatchesScan(cluster.get());
+  cluster->master()->RunReplicationMonitor();
+  ASSERT_TRUE(cluster->PumpHeartbeats().ok());
+  ExpectIndexMatchesScan(cluster.get());
 }
 
 TEST(RepairAuditChaosTest, ChurnSeed1) { RunAuditedChurn(1); }
