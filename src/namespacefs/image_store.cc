@@ -146,7 +146,11 @@ Status ImageStore::WriteImage(int64_t txid, const std::string& payload) {
   }
   OCTO_RETURN_IF_ERROR(FsyncDir(dir_));
 
-  txids_.insert(std::upper_bound(txids_.begin(), txids_.end(), txid), txid);
+  // A checkpoint with no edits since the last one reuses its txid and
+  // overwrites the same file; a second list entry for it would let the
+  // retention loop below unlink the image that was just written.
+  auto pos = std::lower_bound(txids_.begin(), txids_.end(), txid);
+  if (pos == txids_.end() || *pos != txid) txids_.insert(pos, txid);
   while (txids_.size() > static_cast<size_t>(retain_)) {
     ::unlink(ImagePath(txids_.front()).c_str());
     txids_.erase(txids_.begin());

@@ -1,10 +1,16 @@
-// Tests for the internal multi-level cache management policy (paper §6).
+// Tests for the paper's §6 internal memory cache: a single-level
+// TieringEngine (one Memory level with the default budget and
+// threshold) fed only by explicit RecordAccess calls, with no Master
+// access statistics.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "client/file_system.h"
-#include "cluster/cache_manager.h"
 #include "cluster/cluster.h"
+#include "cluster/tiering_engine.h"
 #include "common/logging.h"
 #include "common/units.h"
 
@@ -23,7 +29,13 @@ ClusterSpec CacheSpec() {
   return spec;
 }
 
-class CacheManagerTest : public ::testing::Test {
+TieringOptions CacheOptions() {
+  TieringOptions options;
+  options.collect_access_stats = false;
+  return options;
+}
+
+class SingleLevelCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto cluster = Cluster::Create(CacheSpec());
@@ -38,7 +50,8 @@ class CacheManagerTest : public ::testing::Test {
       ASSERT_TRUE(
           fs_->WriteFile(name, std::string(2 * kMiB, 'd'), options).ok());
     }
-    manager_ = std::make_unique<CacheManager>(cluster_->master());
+    engine_ = std::make_unique<TieringEngine>(cluster_->master(),
+                                              CacheOptions());
   }
 
   int MemoryReplicas(const std::string& path) {
@@ -57,17 +70,17 @@ class CacheManagerTest : public ::testing::Test {
 
   std::unique_ptr<Cluster> cluster_;
   std::unique_ptr<FileSystem> fs_;
-  std::unique_ptr<CacheManager> manager_;
+  std::unique_ptr<TieringEngine> engine_;
 };
 
-TEST_F(CacheManagerTest, HotFileGetsPromotedToMemory) {
-  for (int i = 0; i < 5; ++i) manager_->RecordAccess("/hot");
-  manager_->RecordAccess("/cold");
-  auto report = manager_->Tick();
+TEST_F(SingleLevelCacheTest, HotFileGetsPromotedToMemory) {
+  for (int i = 0; i < 5; ++i) engine_->RecordAccess("/hot");
+  engine_->RecordAccess("/cold");
+  auto report = engine_->Tick();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->promotions, 1);
-  EXPECT_TRUE(manager_->IsPromoted("/hot"));
-  EXPECT_FALSE(manager_->IsPromoted("/cold"));
+  EXPECT_TRUE(engine_->IsManaged("/hot"));
+  EXPECT_FALSE(engine_->IsManaged("/cold"));
   Settle();
   EXPECT_EQ(MemoryReplicas("/hot"), 1);
   EXPECT_EQ(MemoryReplicas("/cold"), 0);
@@ -76,9 +89,9 @@ TEST_F(CacheManagerTest, HotFileGetsPromotedToMemory) {
             ReplicationVector::Of(1, 0, 2));
 }
 
-TEST_F(CacheManagerTest, CooledFileIsEvicted) {
-  for (int i = 0; i < 5; ++i) manager_->RecordAccess("/hot");
-  ASSERT_TRUE(manager_->Tick().ok());
+TEST_F(SingleLevelCacheTest, CooledFileIsEvicted) {
+  for (int i = 0; i < 5; ++i) engine_->RecordAccess("/hot");
+  ASSERT_TRUE(engine_->Tick().ok());
   Settle();
   ASSERT_EQ(MemoryReplicas("/hot"), 1);
 
@@ -86,10 +99,10 @@ TEST_F(CacheManagerTest, CooledFileIsEvicted) {
   auto* sim = cluster_->simulation();
   sim->Schedule(300.0, [] {});
   sim->RunUntilIdle();
-  auto report = manager_->Tick();
+  auto report = engine_->Tick();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->evictions, 1);
-  EXPECT_FALSE(manager_->IsPromoted("/hot"));
+  EXPECT_FALSE(engine_->IsManaged("/hot"));
   Settle();
   EXPECT_EQ(MemoryReplicas("/hot"), 0);
   // Durable replicas survive eviction.
@@ -97,7 +110,7 @@ TEST_F(CacheManagerTest, CooledFileIsEvicted) {
             ReplicationVector::Of(0, 0, 2));
 }
 
-TEST_F(CacheManagerTest, BudgetBoundsPromotions) {
+TEST_F(SingleLevelCacheTest, BudgetBoundsPromotions) {
   // Memory: 3 nodes x 8 MiB x 0.8 budget ≈ 19.2 MiB. Write hot files
   // totalling more than that; only some fit.
   CreateOptions options;
@@ -107,9 +120,9 @@ TEST_F(CacheManagerTest, BudgetBoundsPromotions) {
     std::string path = "/big" + std::to_string(i);
     ASSERT_TRUE(
         fs_->WriteFile(path, std::string(6 * kMiB, 'b'), options).ok());
-    for (int a = 0; a < 10; ++a) manager_->RecordAccess(path);
+    for (int a = 0; a < 10; ++a) engine_->RecordAccess(path);
   }
-  auto report = manager_->Tick();
+  auto report = engine_->Tick();
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->promotions, 0);
   EXPECT_LT(report->promotions, 5);
@@ -117,35 +130,35 @@ TEST_F(CacheManagerTest, BudgetBoundsPromotions) {
             static_cast<int64_t>(3 * 8 * kMiB * 0.8));
 }
 
-TEST_F(CacheManagerTest, UserPinnedMemoryReplicasAreNeverEvicted) {
+TEST_F(SingleLevelCacheTest, UserPinnedMemoryReplicasAreNeverEvicted) {
   // The user pins /warm in memory explicitly.
   ASSERT_TRUE(
       fs_->SetReplication("/warm", ReplicationVector::Of(1, 0, 2)).ok());
   Settle();
   ASSERT_EQ(MemoryReplicas("/warm"), 1);
-  // The manager never promoted it, so a cold Tick must not touch it.
-  auto report = manager_->Tick();
+  // The engine never promoted it, so a cold Tick must not touch it.
+  auto report = engine_->Tick();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->evictions, 0);
   Settle();
   EXPECT_EQ(MemoryReplicas("/warm"), 1);
 }
 
-TEST_F(CacheManagerTest, DeletedFileLeavesPromotedSetGracefully) {
-  for (int i = 0; i < 5; ++i) manager_->RecordAccess("/hot");
-  ASSERT_TRUE(manager_->Tick().ok());
+TEST_F(SingleLevelCacheTest, DeletedFileLeavesPromotedSetGracefully) {
+  for (int i = 0; i < 5; ++i) engine_->RecordAccess("/hot");
+  ASSERT_TRUE(engine_->Tick().ok());
   Settle();
   ASSERT_TRUE(fs_->Delete("/hot").ok());
   auto* sim = cluster_->simulation();
   sim->Schedule(300.0, [] {});
   sim->RunUntilIdle();
-  auto report = manager_->Tick();
+  auto report = engine_->Tick();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->evictions, 1);
-  EXPECT_FALSE(manager_->IsPromoted("/hot"));
+  EXPECT_FALSE(engine_->IsManaged("/hot"));
 }
 
-TEST_F(CacheManagerTest, HottestFilesWinTheBudget) {
+TEST_F(SingleLevelCacheTest, HottestFilesWinTheBudget) {
   CreateOptions options;
   options.rep_vector = ReplicationVector::Of(0, 0, 2);
   options.block_size = 8 * kMiB;
@@ -154,15 +167,16 @@ TEST_F(CacheManagerTest, HottestFilesWinTheBudget) {
                   .ok());
   ASSERT_TRUE(
       fs_->WriteFile("/less-hot", std::string(8 * kMiB, 'l'), options).ok());
-  CacheManagerOptions tight;
-  tight.memory_budget_fraction = 8.0 * kMiB / (3 * 8 * kMiB);  // one file
-  CacheManager manager(cluster_->master(), tight);
-  for (int i = 0; i < 10; ++i) manager.RecordAccess("/very-hot");
-  for (int i = 0; i < 5; ++i) manager.RecordAccess("/less-hot");
-  auto report = manager.Tick();
+  TieringOptions tight = CacheOptions();
+  // Budget for exactly one file.
+  tight.levels[0].capacity_fraction = 8.0 * kMiB / (3 * 8 * kMiB);
+  TieringEngine engine(cluster_->master(), tight);
+  for (int i = 0; i < 10; ++i) engine.RecordAccess("/very-hot");
+  for (int i = 0; i < 5; ++i) engine.RecordAccess("/less-hot");
+  auto report = engine.Tick();
   ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(manager.IsPromoted("/very-hot"));
-  EXPECT_FALSE(manager.IsPromoted("/less-hot"));
+  EXPECT_TRUE(engine.IsManaged("/very-hot"));
+  EXPECT_FALSE(engine.IsManaged("/less-hot"));
 }
 
 }  // namespace

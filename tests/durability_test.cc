@@ -6,6 +6,7 @@
 // point and proves no acked edit is ever lost.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
@@ -32,11 +33,13 @@ namespace fs = std::filesystem;
 
 const UserContext kRoot{"root", {}};
 
-// Fresh scratch directory per test; removed on destruction.
+// Fresh scratch directory per test; removed on destruction. The pid
+// suffix keeps concurrent runs of this binary out of each other's files.
 class ScratchDir {
  public:
   explicit ScratchDir(const std::string& name)
-      : path_(fs::temp_directory_path() / name) {
+      : path_(fs::temp_directory_path() /
+              (name + "_" + std::to_string(::getpid()))) {
     fs::remove_all(path_);
     fs::create_directories(path_);
   }
@@ -566,6 +569,26 @@ TEST(ImageStoreTest, RoundTripRetentionAndFallbackOrder) {
   auto reopened = ImageStore::Open(dir.str(), 2);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->ListImages(), (std::vector<int64_t>{15, 10}));
+}
+
+// Back-to-back checkpoints with no edits in between share a txid. The
+// store must keep one retained entry for it: with duplicates, the third
+// write at the same txid unlinked the image it had just written.
+TEST(ImageStoreTest, RewritingTheSameTxidKeepsTheImage) {
+  ScratchDir dir("octo_durability_imgsame");
+  auto store = ImageStore::Open(dir.str(), /*retain=*/2);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->WriteImage(4, "image-at-4").ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*store)->WriteImage(9, "image-at-9").ok());
+    auto payload = (*store)->ReadImage(9);
+    ASSERT_TRUE(payload.ok()) << "write " << i << ": "
+                              << payload.status().ToString();
+    EXPECT_EQ(*payload, "image-at-9");
+  }
+  EXPECT_EQ((*store)->ListImages(), (std::vector<int64_t>{9, 4}));
+  EXPECT_EQ((*store)->OldestRetainedTxid(), 4);
+  EXPECT_TRUE(fs::exists(dir.path() / "fsimage_4"));
 }
 
 TEST(ImageStoreTest, OnDiskDamageIsDetected) {
